@@ -7,8 +7,8 @@
 
 use criterion::Criterion;
 use std::hint::black_box;
-use std::sync::Arc;
 use sysplex_bench::{banner, command_path_report, row, small_criterion};
+use sysplex_core::cache::{BlockName, CacheParams, WriteKind};
 use sysplex_core::facility::{CfConfig, CouplingFacility};
 use sysplex_core::link::LinkConfig;
 use sysplex_core::lock::{LockMode, LockParams};
@@ -78,23 +78,23 @@ fn link_benches(c: &mut Criterion) {
         facilities.push((name, cf));
     }
 
-    // Async command on a 100 MB/s link pays task-switch overhead.
+    // A page moved on a 100 MB/s link: a registered read runs
+    // CPU-synchronously, a castout read of the same page is bulk and is
+    // converted to asynchronous execution, paying the task-switch overhead
+    // on top of the same link service time.
     {
         let cf = CouplingFacility::new(CfConfig::named("CF01").with_link(LinkConfig::mb100()));
-        let lock = cf.allocate_lock_structure("L", LockParams::with_entries(1024)).unwrap();
-        let conn = lock.connect().unwrap();
-        let link = cf.link();
-        let lock2 = Arc::clone(&lock);
-        group.bench_function("cf_async_lock_cmd_mb100", |b| {
-            b.iter(|| {
-                let l = Arc::clone(&lock2);
-                link.execute_async(64, move || {
-                    l.request(conn, 0, LockMode::Shared).unwrap();
-                    l.release(conn, 0).unwrap();
-                })
-                .wait()
-            })
+        cf.allocate_cache_structure("GBP", CacheParams::store_in(64)).unwrap();
+        let conn = cf.connect_cache("GBP", 16).unwrap();
+        let name = BlockName::from_parts(1, 1);
+        conn.write_invalidate(name, &[7; 128], WriteKind::ChangedData).unwrap();
+        group.bench_function("cf_sync_page_read_mb100", |b| {
+            b.iter(|| black_box(conn.register_read(name, 0).unwrap()))
         });
+        group.bench_function("cf_async_castout_read_mb100", |b| {
+            b.iter(|| black_box(conn.castout_read(name).unwrap()))
+        });
+        command_path_report(&cf);
     }
 
     // DASD I/O: milliseconds (1996 service time).

@@ -899,9 +899,10 @@ impl HotpathReport {
 
     /// Conditions worth flagging next to the report. Today there is one:
     /// zero `async_converted` across the lock command classes means the
-    /// sweep never exercised the CF's async-conversion path (expected
-    /// with instant links, but the reader should know the lock figures
-    /// carry no async component).
+    /// sweep never exercised the CF's async-conversion path. That is
+    /// expected under every link model — lock commands are small and never
+    /// bulk — but the reader should know the lock figures carry no async
+    /// component.
     pub fn warnings(&self) -> Vec<String> {
         let mut out = Vec::new();
         let lock_async: u64 = self
@@ -912,8 +913,9 @@ impl HotpathReport {
             .sum();
         if lock_async == 0 {
             out.push(
-                "WARNING: async_converted = 0 across all lock commands — every lock command ran \
-                 CPU-synchronously (instant links), so this report exercises no async-conversion path"
+                "WARNING: async_converted = 0 across all lock commands — lock commands are 64 B and \
+                 never bulk, so they run CPU-synchronously under every link model and this report \
+                 exercises no async-conversion path"
                     .to_string(),
             );
         }
@@ -1024,8 +1026,8 @@ mod tests {
             "local re-grant must beat the modeled CF round trip, got {:.2}x",
             report.regrant_p50_speedup
         );
-        // Satellite: instant links never async-convert, and the report
-        // must say so out loud rather than leave a silent zero.
+        // Lock commands never async-convert, and the report must say so
+        // out loud rather than leave a silent zero.
         let warnings = report.warnings();
         assert!(
             warnings.iter().any(|w| w.contains("async_converted = 0")),

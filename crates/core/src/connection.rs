@@ -8,14 +8,17 @@
 //! asynchronously, with cpu-synchronous command completion times measured
 //! in micro-seconds" — small directory and lock commands spin the issuing
 //! CPU on the link, while bulk transfers (castout reads, list scans,
-//! oversized data writes) are converted to asynchronous execution on the
-//! facility's processor pool and pay the task-switch overhead.
+//! oversized data writes) are converted to asynchronous execution and pay
+//! the task-switch overhead on top. Conversion is a cost and an
+//! accounting class, not a second execution path: every command, converted
+//! or not, runs its structure operation on the issuing thread through one
+//! method, [`CfSubchannel::issue`].
 //!
 //! Centralising the command path buys three things the raw structure API
 //! cannot give:
 //!
-//! * **One conversion heuristic** ([`ConversionPolicy`]) instead of each
-//!   exploiter hand-picking `execute_sync`/`execute_async`.
+//! * **One conversion heuristic** ([`ConversionPolicy`]), applied by the
+//!   subchannel to every command instead of hand-picked per call site.
 //! * **Per-command-class accounting** ([`ConnectionStats`]): issued, ran
 //!   synchronous, converted to asynchronous, faulted, plus a latency
 //!   histogram per class — the numbers the experiments report.
@@ -38,7 +41,7 @@ use crate::list::{
     WritePosition,
 };
 use crate::lock::{DisconnectMode, LockMode, LockRates, LockResponse, LockStructure, RetainedLock};
-use crate::stats::{ratio, Counter, LatencyHistogram};
+use crate::stats::{ratio, Counter, Histogram};
 use crate::trace::{TraceEvent, Tracer, TRACE_SYSTEM_CF};
 use crate::types::{ConnId, ConnMask, SystemId};
 use parking_lot::Mutex;
@@ -177,7 +180,7 @@ impl CfCommand {
 /// disruptions" — but only pays off while the CPU spin is shorter than a
 /// task switch. Small commands therefore run CPU-synchronously; commands
 /// marked bulk or moving more than `async_threshold_bytes` are converted
-/// to asynchronous execution on the CF processor pool.
+/// to asynchronous execution and charged the link's task-switch overhead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConversionPolicy {
     /// Payload size above which a command is converted to async.
@@ -212,7 +215,7 @@ pub struct ClassStats {
     /// Commands that surfaced a link fault (subset of the above two).
     pub faulted: Counter,
     /// End-to-end command latency as observed by the issuer.
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
 }
 
 /// Subchannel-wide command accounting, indexed by [`CommandClass`].
@@ -458,11 +461,6 @@ impl CfSubchannel {
         self.tracer.emit(self.system, self.structure, event);
     }
 
-    /// Whether `cmd` will be converted to asynchronous execution.
-    pub fn wants_async(&self, cmd: &CfCommand) -> bool {
-        self.policy.converts(cmd)
-    }
-
     /// Consume one armed fault, if any. `Ok(Some(d))` asks the caller to
     /// stall `d` before proceeding; errors abort the command.
     fn check_fault(&self, cmd: &CfCommand) -> CfResult<Option<Duration>> {
@@ -483,18 +481,27 @@ impl CfSubchannel {
         }
     }
 
-    /// Issue `cmd` CPU-synchronously: the issuing processor spins for the
-    /// simulated round trip and observes the result with no task switch.
-    pub fn issue_sync<R>(&self, cmd: CfCommand, op: impl FnOnce() -> CfResult<R>) -> CfResult<R> {
+    /// Issue `cmd`. The [`ConversionPolicy`] decides whether it counts as
+    /// CPU-synchronous or converted to asynchronous execution; either way
+    /// the structure operation runs on the issuing thread, and a converted
+    /// command also pays the link's task-switch overhead. A dead link
+    /// (facility shut down) fails the command with
+    /// [`CfError::LinkTimeout`], never a panic.
+    pub fn issue<R>(&self, cmd: CfCommand, op: impl FnOnce() -> CfResult<R>) -> CfResult<R> {
         let t0 = Instant::now();
+        let converted = self.policy.converts(&cmd);
         let cs = self.stats.class(cmd.class);
         cs.issued.incr();
-        cs.sync.incr();
+        if converted {
+            cs.async_converted.incr();
+        } else {
+            cs.sync.incr();
+        }
         // One relaxed load decides tracing for the whole command: the
         // disabled hot path pays nothing else.
         let traced = self.tracer.is_enabled();
         if traced {
-            self.emit(TraceEvent::CmdIssued { class: cmd.class, converted_async: false });
+            self.emit(TraceEvent::CmdIssued { class: cmd.class, converted_async: converted });
         }
         // A dead link (facility shut down) fails every command with the
         // same typed timeout a lost-in-flight command produces — one
@@ -508,7 +515,7 @@ impl CfSubchannel {
                     if let Some(d) = delay {
                         spin_for(d);
                     }
-                    self.link.execute_sync(cmd.payload_bytes, op)
+                    self.link.execute(cmd.payload_bytes, converted, op)
                 }
                 Err(e) => Err(e),
             }
@@ -518,58 +525,7 @@ impl CfSubchannel {
         if traced {
             self.emit(TraceEvent::CmdCompleted {
                 class: cmd.class,
-                converted_async: false,
-                latency_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            });
-        }
-        r
-    }
-
-    /// Issue `cmd` asynchronously-converted: ship the operation to the CF
-    /// processor pool, block for the completion, and pay the task-switch
-    /// overhead. A dropped command (executor shut down mid-flight)
-    /// surfaces as [`CfError::LinkTimeout`], never a panic.
-    pub fn issue_async<R: Send + 'static>(
-        &self,
-        cmd: CfCommand,
-        op: impl FnOnce() -> CfResult<R> + Send + 'static,
-    ) -> CfResult<R> {
-        let t0 = Instant::now();
-        let cs = self.stats.class(cmd.class);
-        cs.issued.incr();
-        cs.async_converted.incr();
-        let traced = self.tracer.is_enabled();
-        if traced {
-            self.emit(TraceEvent::CmdIssued { class: cmd.class, converted_async: true });
-        }
-        // Same dead-link fast-fail as the synchronous path; a shutdown
-        // racing an in-flight submit is still caught by `checked_wait`.
-        let r = if self.link.is_shut_down() {
-            cs.faulted.incr();
-            Err(CfError::LinkTimeout(cmd.class.name()))
-        } else {
-            match self.check_fault(&cmd) {
-                Ok(delay) => {
-                    if let Some(d) = delay {
-                        spin_for(d);
-                    }
-                    match self.link.execute_async(cmd.payload_bytes, op).checked_wait() {
-                        Some(r) => r,
-                        None => {
-                            cs.faulted.incr();
-                            Err(CfError::LinkTimeout(cmd.class.name()))
-                        }
-                    }
-                }
-                Err(e) => Err(e),
-            }
-        };
-        let elapsed = t0.elapsed();
-        cs.latency.record(elapsed);
-        if traced {
-            self.emit(TraceEvent::CmdCompleted {
-                class: cmd.class,
-                converted_async: true,
+                converted_async: converted,
                 latency_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
             });
         }
@@ -591,8 +547,7 @@ impl LockConnection {
     /// Connect to `structure` through `sub`, taking any free slot.
     pub fn attach(structure: &Arc<LockStructure>, sub: CfSubchannel) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let id =
-            sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || structure.connect())?;
+        let id = sub.issue(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || structure.connect())?;
         Ok(LockConnection { structure: Arc::clone(structure), id, sub })
     }
 
@@ -600,9 +555,8 @@ impl LockConnection {
     /// rebuild into a new structure with identities preserved).
     pub fn attach_slot(structure: &Arc<LockStructure>, sub: CfSubchannel, slot: ConnId) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let id = sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
-            structure.connect_slot(slot)
-        })?;
+        let id = sub
+            .issue(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || structure.connect_slot(slot))?;
         Ok(LockConnection { structure: Arc::clone(structure), id, sub })
     }
 
@@ -641,7 +595,7 @@ impl LockConnection {
 
     /// Request `mode` interest in lock-table entry `entry`.
     pub fn request_lock(&self, entry: usize, mode: LockMode) -> CfResult<LockResponse> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
+        let r = self.sub.issue(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
             self.structure.request(self.id, entry, mode)
         });
         match &r {
@@ -665,7 +619,7 @@ impl LockConnection {
     /// Record `mode` interest unconditionally (state import: rebuild,
     /// duplex mirroring).
     pub fn force_interest(&self, entry: usize, mode: LockMode) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
             self.structure.force_interest(self.id, entry, mode)
         })
     }
@@ -683,32 +637,35 @@ impl LockConnection {
         negotiated: crate::types::ConnMask,
         generation: u16,
     ) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockRequest, LOCK_CMD_BYTES), || {
             self.structure.force_interest_negotiated(self.id, entry, mode, negotiated, generation)
         })
     }
 
     /// Release this connection's interest in entry `entry`.
+    ///
+    /// Releases are traced just *before* the structure operation: once the
+    /// entry frees, a peer's grant can land and trace its `LockGrant`, and
+    /// the trace must not show that grant ahead of the release it
+    /// followed. (A release that then fails leaves the trace lenient,
+    /// never wrong.)
     pub fn release_lock(&self, entry: usize) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockRelease, LOCK_CMD_BYTES), || {
-            self.structure.release(self.id, entry)
-        });
-        if r.is_ok() {
+        self.sub.issue(CfCommand::new(CommandClass::LockRelease, LOCK_CMD_BYTES), || {
             self.sub.emit(TraceEvent::LockRelease { entry: entry as u64, conn: self.id.raw() });
-        }
-        r
+            self.structure.release(self.id, entry)
+        })
     }
 
     /// Holders of entry `entry`: `(all interested, exclusive holder)`.
     pub fn holders(&self, entry: usize) -> CfResult<(ConnMask, Option<ConnId>)> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
             Ok(self.structure.holders(entry))
         })
     }
 
     /// Whether entry `entry` is in negotiation.
     pub fn is_negotiate(&self, entry: usize) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
             Ok(self.structure.is_negotiate(entry))
         })
     }
@@ -716,64 +673,56 @@ impl LockConnection {
     /// Write persistent record data for `resource` held in `mode`.
     pub fn write_lock_record(&self, resource: &[u8], mode: LockMode, payload: &[u8]) -> CfResult<()> {
         let cmd = CfCommand::new(CommandClass::LockRecord, LOCK_CMD_BYTES + resource.len() + payload.len());
-        self.sub.issue_sync(cmd, || self.structure.write_record(self.id, resource, mode, payload))
+        self.sub.issue(cmd, || self.structure.write_record(self.id, resource, mode, payload))
     }
 
     /// Delete the persistent record for `resource`.
     pub fn delete_lock_record(&self, resource: &[u8]) -> CfResult<()> {
         let cmd = CfCommand::new(CommandClass::LockRecord, LOCK_CMD_BYTES + resource.len());
-        self.sub.issue_sync(cmd, || self.structure.delete_record(self.id, resource))
+        self.sub.issue(cmd, || self.structure.delete_record(self.id, resource))
     }
 
     /// Retained (failed-persistent) locks of connector `peer` — the
     /// recovery read a surviving system issues on a dead peer's behalf.
     pub fn retained_locks_of(&self, peer: ConnId) -> CfResult<Vec<RetainedLock>> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES).bulk(), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
             Ok(self.structure.retained_locks(peer))
         })
     }
 
     /// Whether connector `peer` is failed-persistent awaiting recovery.
     pub fn is_failed_persistent(&self, peer: ConnId) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
             Ok(self.structure.is_failed_persistent(peer))
         })
     }
 
     /// Declare peer recovery complete: purges `peer`'s retained state.
+    /// Traced before the purge, like [`LockConnection::release_lock`].
     pub fn recovery_complete_for(&self, peer: ConnId) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
-            self.structure.recovery_complete(peer)
-        });
-        if r.is_ok() {
+        self.sub.issue(CfCommand::new(CommandClass::LockAdmin, LOCK_CMD_BYTES), || {
             self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
-        }
-        r
+            self.structure.recovery_complete(peer)
+        })
     }
 
     /// Disconnect this connection.
     pub fn detach(&self, mode: DisconnectMode) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
-            self.structure.disconnect(self.id, mode)
-        });
-        // Normal disconnect purges every interest; abnormal retains it for
-        // recovery, so no release is traced until recovery completes.
-        if r.is_ok() && mode == DisconnectMode::Normal {
-            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: self.id.raw() });
-        }
-        r
+        self.detach_peer(self.id, mode)
     }
 
     /// Disconnect a peer's slot (surviving system marking a dead peer
     /// failed-persistent).
     pub fn detach_peer(&self, peer: ConnId, mode: DisconnectMode) -> CfResult<()> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::LockAdmin, DIR_CMD_BYTES), || {
+            // Normal disconnect purges every interest (traced before the
+            // purge, like a release); abnormal retains it for recovery, so
+            // no release is traced until recovery completes.
+            if mode == DisconnectMode::Normal {
+                self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
+            }
             self.structure.disconnect(peer, mode)
-        });
-        if r.is_ok() && mode == DisconnectMode::Normal {
-            self.sub.emit(TraceEvent::LockRelease { entry: u64::MAX, conn: peer.raw() });
-        }
-        r
+        })
     }
 
     /// Structure-derived rates (observability).
@@ -797,7 +746,7 @@ impl CacheConnection {
     /// `vector_len` entries.
     pub fn attach(structure: &Arc<CacheStructure>, sub: CfSubchannel, vector_len: usize) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let token = sub.issue_sync(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
+        let token = sub.issue(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
             structure.connect(vector_len)
         })?;
         Ok(CacheConnection { structure: Arc::clone(structure), token, sub })
@@ -864,7 +813,7 @@ impl CacheConnection {
 
     /// Read block `name` and register interest at `vector_index`.
     pub fn register_read(&self, name: BlockName, vector_index: u32) -> CfResult<RegisterResult> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::CacheRead, PAGE_BYTES), || {
+        let r = self.sub.issue(CfCommand::new(CommandClass::CacheRead, PAGE_BYTES), || {
             self.structure.read_and_register(&self.token, name, vector_index)
         });
         if let Ok(reg) = &r {
@@ -877,14 +826,7 @@ impl CacheConnection {
     /// connector. Oversized payloads are converted to async execution.
     pub fn write_invalidate(&self, name: BlockName, data: &[u8], kind: WriteKind) -> CfResult<WriteResult> {
         let cmd = CfCommand::new(CommandClass::CacheWrite, data.len().max(DIR_CMD_BYTES));
-        let r = if self.sub.wants_async(&cmd) {
-            let structure = Arc::clone(&self.structure);
-            let token = self.token.clone();
-            let data = data.to_vec();
-            self.sub.issue_async(cmd, move || structure.write_and_invalidate(&token, name, &data, kind))
-        } else {
-            self.sub.issue_sync(cmd, || self.structure.write_and_invalidate(&self.token, name, data, kind))
-        };
+        let r = self.sub.issue(cmd, || self.structure.write_and_invalidate(&self.token, name, data, kind));
         if let Ok(w) = &r {
             self.sub.emit(TraceEvent::CrossInvalidate {
                 block: name.digest(),
@@ -896,7 +838,7 @@ impl CacheConnection {
 
     /// Drop this connection's registered interest in block `name`.
     pub fn unregister(&self, name: BlockName) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
             self.structure.unregister(&self.token, name)
         })
     }
@@ -904,32 +846,29 @@ impl CacheConnection {
     /// Changed blocks eligible for castout, oldest first. Directory scan:
     /// bulk, asynchronous.
     pub fn castout_candidates(&self, max: usize) -> CfResult<Vec<BlockName>> {
-        let structure = Arc::clone(&self.structure);
-        self.sub.issue_async(CfCommand::new(CommandClass::CacheCastout, DIR_CMD_BYTES).bulk(), move || {
-            Ok(structure.castout_candidates(max))
+        self.sub.issue(CfCommand::new(CommandClass::CacheCastout, DIR_CMD_BYTES).bulk(), || {
+            Ok(self.structure.castout_candidates(max))
         })
     }
 
     /// Read a changed block for castout to DASD. Bulk data transfer:
     /// asynchronous.
     pub fn castout_read(&self, name: BlockName) -> CfResult<(Arc<Vec<u8>>, u64)> {
-        let structure = Arc::clone(&self.structure);
-        let token = self.token.clone();
-        self.sub.issue_async(CfCommand::new(CommandClass::CacheCastout, PAGE_BYTES).bulk(), move || {
-            structure.read_for_castout(&token, name)
+        self.sub.issue(CfCommand::new(CommandClass::CacheCastout, PAGE_BYTES).bulk(), || {
+            self.structure.read_for_castout(&self.token, name)
         })
     }
 
     /// Mark a castout complete (block hardened to DASD at `version`).
     pub fn castout_complete(&self, name: BlockName, version: u64) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::CacheCastout, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::CacheCastout, LOCK_CMD_BYTES), || {
             self.structure.complete_castout(&self.token, name, version)
         })
     }
 
     /// Disconnect this connection.
     pub fn detach(&self) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::CacheAdmin, DIR_CMD_BYTES), || {
             let _ = self.structure.disconnect(&self.token);
             Ok(())
         })
@@ -951,7 +890,7 @@ impl ListConnection {
     /// vector of `vector_len` entries.
     pub fn attach(structure: &Arc<ListStructure>, sub: CfSubchannel, vector_len: usize) -> CfResult<Self> {
         let sub = sub.for_structure_named(structure.name());
-        let token = sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        let token = sub.issue(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
             structure.connect(vector_len)
         })?;
         Ok(ListConnection { structure: Arc::clone(structure), token, sub })
@@ -1012,17 +951,9 @@ impl ListConnection {
         cond: LockCondition,
     ) -> CfResult<EntryId> {
         let cmd = CfCommand::new(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES));
-        let r = if self.sub.wants_async(&cmd) {
-            let structure = Arc::clone(&self.structure);
-            let token = self.token.clone();
-            let data = data.to_vec();
-            self.sub
-                .issue_async(cmd, move || structure.write_entry(&token, header, key, &data, position, cond))
-        } else {
-            self.sub.issue_sync(cmd, || {
-                self.structure.write_entry(&self.token, header, key, data, position, cond)
-            })
-        };
+        let r = self
+            .sub
+            .issue(cmd, || self.structure.write_entry(&self.token, header, key, data, position, cond));
         if let Ok(id) = &r {
             self.sub.emit(TraceEvent::ListEnqueue { header: header as u64, entry: id.0 });
         }
@@ -1039,21 +970,20 @@ impl ListConnection {
         cond: LockCondition,
     ) -> CfResult<u64> {
         let cmd = CfCommand::new(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES));
-        self.sub.issue_sync(cmd, || {
-            self.structure.update_entry(&self.token, id, key, data, expected_version, cond)
-        })
+        self.sub
+            .issue(cmd, || self.structure.update_entry(&self.token, id, key, data, expected_version, cond))
     }
 
     /// Read entry `id`.
     pub fn read_entry(&self, id: EntryId) -> CfResult<EntryView> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListRead, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListRead, DIR_CMD_BYTES), || {
             self.structure.read_entry(&self.token, id)
         })
     }
 
     /// Delete entry `id`.
     pub fn delete(&self, id: EntryId, cond: LockCondition) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListWrite, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListWrite, LOCK_CMD_BYTES), || {
             self.structure.delete_entry(&self.token, id, cond)
         })
     }
@@ -1066,7 +996,7 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListMove, LOCK_CMD_BYTES), || {
             self.structure.move_entry(&self.token, id, to_header, position, cond)
         })
     }
@@ -1082,7 +1012,7 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListMove, LOCK_CMD_BYTES), || {
             self.structure.move_entry_from(&self.token, id, from_header, to_header, position, cond)
         })
     }
@@ -1097,7 +1027,7 @@ impl ListConnection {
         position: WritePosition,
         cond: LockCondition,
     ) -> CfResult<Option<EntryView>> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, DIR_CMD_BYTES), || {
+        let r = self.sub.issue(CfCommand::new(CommandClass::ListMove, DIR_CMD_BYTES), || {
             self.structure.move_first(&self.token, from, to, end, position, cond)
         });
         if let Ok(v) = &r {
@@ -1109,7 +1039,7 @@ impl ListConnection {
 
     /// Dequeue one entry from `header`.
     pub fn take(&self, header: usize, end: DequeueEnd, cond: LockCondition) -> CfResult<Option<EntryView>> {
-        let r = self.sub.issue_sync(CfCommand::new(CommandClass::ListMove, DIR_CMD_BYTES), || {
+        let r = self.sub.issue(CfCommand::new(CommandClass::ListMove, DIR_CMD_BYTES), || {
             self.structure.dequeue(&self.token, header, end, cond)
         });
         if let Ok(v) = &r {
@@ -1124,16 +1054,14 @@ impl ListConnection {
     /// Read every entry of `header`, in order. Whole-list transfer: bulk,
     /// asynchronous.
     pub fn scan(&self, header: usize) -> CfResult<Vec<EntryView>> {
-        let structure = Arc::clone(&self.structure);
-        let token = self.token.clone();
-        self.sub.issue_async(CfCommand::new(CommandClass::ListRead, PAGE_BYTES).bulk(), move || {
-            structure.read_list(&token, header)
+        self.sub.issue(CfCommand::new(CommandClass::ListRead, PAGE_BYTES).bulk(), || {
+            self.structure.read_list(&self.token, header)
         })
     }
 
     /// Number of entries currently on `header`.
     pub fn header_len(&self, header: usize) -> CfResult<usize> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListRead, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListRead, LOCK_CMD_BYTES), || {
             self.structure.header_len(header)
         })
     }
@@ -1141,28 +1069,28 @@ impl ListConnection {
     /// Try to acquire serializing lock entry `entry` (§3.3.3 recovery
     /// protocol).
     pub fn acquire_list_lock(&self, entry: usize) -> CfResult<bool> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
             self.structure.acquire_lock(&self.token, entry)
         })
     }
 
     /// Release serializing lock entry `entry`.
     pub fn release_list_lock(&self, entry: usize) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
             self.structure.release_lock(&self.token, entry)
         })
     }
 
     /// Current holder of serializing lock entry `entry`.
     pub fn list_lock_holder(&self, entry: usize) -> CfResult<Option<ConnId>> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListAdmin, LOCK_CMD_BYTES), || {
             self.structure.lock_holder(entry)
         })
     }
 
     /// Monitor `header` for empty→non-empty transitions at `vector_index`.
     pub fn register_monitor(&self, header: usize, vector_index: u32) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
             let _ = self.structure.register_monitor(&self.token, header, vector_index);
             Ok(())
         })
@@ -1170,7 +1098,7 @@ impl ListConnection {
 
     /// Stop monitoring `header`.
     pub fn deregister_monitor(&self, header: usize) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
             let _ = self.structure.deregister_monitor(&self.token, header);
             Ok(())
         })
@@ -1178,7 +1106,7 @@ impl ListConnection {
 
     /// Disconnect this connection.
     pub fn detach(&self) -> CfResult<()> {
-        self.sub.issue_sync(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
+        self.sub.issue(CfCommand::new(CommandClass::ListAdmin, DIR_CMD_BYTES), || {
             let _ = self.structure.disconnect(&self.token);
             Ok(())
         })
@@ -1262,6 +1190,40 @@ mod tests {
         assert_eq!(s.class(CommandClass::ListRead).async_converted.get(), 1);
         assert_eq!(s.class(CommandClass::ListMove).issued.get(), 1);
         assert_eq!(s.issued(), s.sync() + s.async_converted());
+    }
+
+    #[test]
+    fn converted_commands_run_on_the_issuing_thread_and_pay_the_overhead() {
+        let link = crate::link::LinkConfig::mb100();
+        let cf = CouplingFacility::new(CfConfig::named("CF01").with_link(link));
+        cf.allocate_cache_structure("GBP", CacheParams::store_in(64)).unwrap();
+        let conn = cf.connect_cache("GBP", 16).unwrap();
+        let name = BlockName::from_bytes(b"PAGE1");
+        conn.write_invalidate(name, &[1; 128], WriteKind::ChangedData).unwrap();
+        let floor = link.service_time(PAGE_BYTES) + Duration::from_nanos(link.async_overhead_ns);
+
+        // A castout-shaped bulk command: the structure operation runs on
+        // the caller's thread, not on a facility-side worker.
+        let caller = std::thread::current().id();
+        let cmd = CfCommand::new(CommandClass::CacheCastout, PAGE_BYTES).bulk();
+        let t0 = Instant::now();
+        let ran_on = conn
+            .subchannel()
+            .issue(cmd, || {
+                conn.structure().read_for_castout(conn.token(), name)?;
+                Ok(std::thread::current().id())
+            })
+            .unwrap();
+        assert!(t0.elapsed() >= floor, "{:?} < service time + async overhead", t0.elapsed());
+        assert_eq!(ran_on, caller);
+
+        // The public castout read is converted and charged the same way.
+        let t0 = Instant::now();
+        conn.castout_read(name).unwrap();
+        assert!(t0.elapsed() >= floor, "{:?} < service time + async overhead", t0.elapsed());
+        let castout = conn.stats().class(CommandClass::CacheCastout);
+        assert_eq!(castout.async_converted.get(), 2);
+        assert_eq!(castout.sync.get(), 0);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   lock entries, and empty→non-empty *list transition signals* (§3.3.3).
 //!
 //! Commands reach the CF over [`link::CfLink`]s modelling the 50/100 MB/s
-//! fiber coupling links; commands execute either CPU-synchronously (the
-//! caller spins for the µs-scale round trip) or asynchronously through a
-//! completion queue, mirroring the execution modes in the paper.
+//! fiber coupling links. Every command runs on the issuing CPU, which spins
+//! for the µs-scale round trip; bulk commands are converted to asynchronous
+//! execution and also charged its task-switch overhead, mirroring the cost
+//! of the two execution modes in the paper.
 //!
 //! ## Hardware substitution
 //!

@@ -73,9 +73,10 @@ pub enum LockResponse {
         /// The exclusive holder, if the entry is held exclusively.
         exclusive: Option<ConnId>,
         /// Entry generation at response time (bumped whenever interest
-        /// departs the entry). A negotiated interest write quotes it so
-        /// the CF can refuse a *stale* negotiation — one whose holder
-        /// released and re-acquired since, invalidating the verdict.
+        /// is granted or departs the entry). A negotiated interest write
+        /// quotes it so the CF can refuse a *stale* negotiation — one
+        /// whose holder acquired a lock (or released and re-acquired)
+        /// since, invalidating the verdict.
         generation: u16,
     },
 }
@@ -128,11 +129,12 @@ pub struct LockRates {
 // Lock table entry packing (one AtomicU64):
 //   bits 0..=31   shared-interest mask, one bit per connector slot
 //   bits 32..=39  exclusive owner slot + 1 (0 = none)
-//   bits 40..=55  generation: bumped (mod 2^16) every time a connector's
-//                 interest *departs* the entry. Quoted in contention
-//                 responses and checked by negotiated interest writes, so
-//                 a departed-and-rejoined holder invalidates any
-//                 negotiation conducted against its earlier tenure.
+//   bits 40..=55  generation: bumped (mod 2^16) every time interest is
+//                 granted (synchronously or by negotiation) or *departs*
+//                 the entry. Quoted in contention responses and checked by
+//                 negotiated interest writes, so a holder that acquired a
+//                 lock — or departed and rejoined — after answering a
+//                 negotiation invalidates the verdict it gave.
 //   bit 63        NEGOTIATE: the entry's interest under-represents the real
 //                 resource-level locks (a forced-exclusive was recorded as
 //                 shared interest); every request with foreign interest
@@ -369,13 +371,15 @@ impl LockStructure {
             }
             // Sole interest (or precise state): representable exactly; the
             // NEGOTIATE flag (only possible here when holders == 0) drops.
-            // The generation survives — grants never bump it.
-            let new = match mode {
+            // The generation moves: a peer that negotiated with us before
+            // this grant was told "no conflict" about locks we did not yet
+            // hold, and its negotiated write must refuse and renegotiate.
+            let new = bump_gen(match mode {
                 LockMode::Shared => (cur & !NEG_FLAG) | me as u64,
                 LockMode::Exclusive => {
                     (cur & (SHARE_MASK | GEN_MASK)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
                 }
-            };
+            });
             match slot.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     self.stats.sync_grants.incr();
@@ -436,8 +440,9 @@ impl LockStructure {
     /// since the contention response: its grant may be a fresh synchronous
     /// exclusive taken after an old holder released, and it never agreed to
     /// share. Second, when the entry `generation` no longer matches the one
-    /// quoted in the contention response — some holder's interest departed
-    /// since, and a holder that released and *re-acquired* is
+    /// quoted in the contention response — some interest was granted or
+    /// departed since. A holder granted a lock after it answered the
+    /// negotiation, or one that released and *re-acquired*, is
     /// indistinguishable from one that held throughout, yet its fresh grant
     /// (possibly a locally cached sole-exclusive) was never consulted. In
     /// both cases the caller must renegotiate against the current holders.
@@ -472,13 +477,15 @@ impl LockStructure {
             if others & !negotiated != 0 {
                 return Ok(false);
             }
-            let new = match mode {
+            // A negotiated grant moves the generation like any other, so
+            // two requesters that negotiated concurrently cannot both write.
+            let new = bump_gen(match mode {
                 LockMode::Exclusive if foreign_excl.is_none() && others_share == 0 => {
                     (cur & (SHARE_MASK | GEN_MASK)) | ((conn.raw() as u64 + 1) << EXCL_SHIFT)
                 }
                 LockMode::Exclusive => cur | me as u64 | NEG_FLAG,
                 LockMode::Shared => cur | me as u64,
-            };
+            });
             match slot.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return Ok(true),
                 Err(observed) => cur = observed,
@@ -955,6 +962,27 @@ mod tests {
             }
             other => panic!("expected contention, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn negotiated_force_refuses_after_a_holder_is_granted_again() {
+        let s = structure(16);
+        let a = s.connect().unwrap();
+        let b = s.connect().unwrap();
+        // a holds sole exclusive interest (say, parked after its last
+        // lock). b contends and negotiates; a truthfully answers "no
+        // conflict", then is granted a new lock on the entry before b
+        // writes. The holder set never changed, yet a's new lock was not
+        // part of b's negotiation: the grant moved the generation, so b's
+        // write must refuse and renegotiate.
+        assert!(s.request(a, 5, LockMode::Exclusive).unwrap().is_granted());
+        let g = match s.request(b, 5, LockMode::Shared).unwrap() {
+            LockResponse::Contention { generation, .. } => generation,
+            other => panic!("expected contention, got {other:?}"),
+        };
+        assert!(s.request(a, 5, LockMode::Exclusive).unwrap().is_granted());
+        assert!(!s.force_interest_negotiated(b, 5, LockMode::Shared, a.mask(), g).unwrap());
+        assert_eq!(s.holders(5), (0, Some(a)));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!
 //! [`Histogram`] is the single log₂-bucketed latency histogram shared by the
 //! subchannel command path, the workload drivers, and the Monitor's CF
-//! Activity Report. It replaces the former 36-bucket `LatencyHistogram`
-//! here and the 64-bucket `workload::metrics::Histogram`, which had drifted
-//! apart. Interval reporting goes through [`Histogram::snapshot`] /
+//! Activity Report. It replaces a former 36-bucket core histogram and a
+//! 64-bucket workload histogram, which had drifted apart. Interval reporting goes through [`Histogram::snapshot`] /
 //! [`HistogramSnapshot::delta`] so per-interval percentiles and `max` are
 //! not contaminated by earlier intervals (reset-less reuse used to carry
 //! `max_ns` across phases forever).
@@ -72,12 +71,6 @@ pub fn ratio(num: u64, den: u64) -> f64 {
 /// into a lower bucket.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Former name of [`HIST_BUCKETS`], kept for older call sites.
-pub const LATENCY_BUCKETS: usize = HIST_BUCKETS;
-
-/// The former core histogram name; now the unified [`Histogram`].
-pub type LatencyHistogram = Histogram;
-
 // `[Counter::new(); N]` needs Copy; build arrays with an explicit repeat
 // initializer. The const is deliberate, not a shared item.
 #[allow(clippy::declare_interior_mutable_const)]
@@ -140,11 +133,6 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn samples(&self) -> u64 {
-        self.samples.get()
-    }
-
-    /// Number of recorded samples (workload-style name).
-    pub fn count(&self) -> u64 {
         self.samples.get()
     }
 
@@ -405,7 +393,7 @@ mod tests {
         for us in [10u64, 20, 30, 40, 1000] {
             h.record(Duration::from_micros(us));
         }
-        assert_eq!(h.count(), 5);
+        assert_eq!(h.samples(), 5);
         assert_eq!(h.mean(), Duration::from_micros(220));
         assert_eq!(h.max(), Duration::from_micros(1000));
         let s = h.summary(Duration::from_secs(1));
@@ -438,7 +426,7 @@ mod tests {
         let h = Histogram::new();
         h.record(Duration::from_millis(5));
         h.reset();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.samples(), 0);
         assert_eq!(h.max(), Duration::ZERO);
     }
 
@@ -495,6 +483,6 @@ mod tests {
         for hd in handles {
             hd.join().unwrap();
         }
-        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.samples(), 40_000);
     }
 }

@@ -364,11 +364,7 @@ impl InProcessTransport {
                 WireResponse::Unit
             }
             R::Probe(cmd) => {
-                if self.sub.wants_async(&cmd) {
-                    self.sub.issue_async(cmd, || Ok(()))?;
-                } else {
-                    self.sub.issue_sync(cmd, || Ok(()))?;
-                }
+                self.sub.issue(cmd, || Ok(()))?;
                 WireResponse::Unit
             }
         })
@@ -1563,6 +1559,7 @@ mod tests {
         let entry = lock.hash_resource(b"ACCT.1");
         assert!(lock.request_lock(entry, LockMode::Exclusive).unwrap().is_granted());
         lock.write_lock_record(b"ACCT.1", LockMode::Exclusive, b"undo").unwrap();
+        lock.write_lock_record(b"ACCT.1", LockMode::Exclusive, &[7; 8192]).unwrap();
         lock.release_lock(entry).unwrap();
         let cache = RemoteCacheConnection::attach(Arc::clone(&transport), "GBP", 16).unwrap();
         let name = BlockName::from_parts(1, 7);
@@ -1570,7 +1567,8 @@ mod tests {
         cache.write_invalidate(name, &[9; 128], WriteKind::ChangedData).unwrap();
         cache.write_invalidate(name, &[9; 8192], WriteKind::ChangedData).unwrap();
         let list = RemoteListConnection::attach(Arc::clone(&transport), "WQ", 8).unwrap();
-        list.enqueue(0, 5, b"job", WritePosition::Tail, LockCondition::None).unwrap();
+        let id = list.enqueue(0, 5, b"job", WritePosition::Tail, LockCondition::None).unwrap();
+        list.update(id, 5, &[7; 8192], None, LockCondition::None).unwrap();
         let entries = list.scan(0).unwrap();
         assert_eq!(entries.len(), 1);
         probe(&*transport, CfCommand::new(CommandClass::CacheRead, 64)).unwrap();

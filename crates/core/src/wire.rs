@@ -986,29 +986,34 @@ impl WireRequest {
     /// Whether the serving subchannel will convert this request to
     /// asynchronous execution under `policy`.
     ///
-    /// This mirrors the decision the native connection methods make (which
-    /// `CfCommand` they build, and whether they call `issue_sync` or
-    /// `issue_async`), so a remote member can account sync/async splits for
-    /// tunnelled commands identically to a local connector. The unit test
+    /// This mirrors the `CfCommand` each native connection method builds
+    /// (`CfSubchannel::issue` then applies `policy` to it), so a remote
+    /// member can account sync/async splits for tunnelled commands
+    /// identically to a local connector. The unit test
     /// `meter_mirrors_cf_accounting` in `transport.rs` pins the mirror
     /// against the real accounting.
     pub fn converts_async(&self, policy: &crate::connection::ConversionPolicy) -> bool {
         use crate::connection::{CfCommand, DIR_CMD_BYTES, LOCK_CMD_BYTES};
         use WireRequest as R;
+        let converts = |class, payload_bytes| policy.converts(&CfCommand::new(class, payload_bytes));
         match self {
-            // Unconditionally issued async by the native connection.
+            // Marked bulk by the native connection: always converted.
             R::CacheCastoutCandidates { .. } | R::CacheCastoutRead { .. } | R::ListScan { .. } => true,
-            // Payload-dependent: the native methods build these commands
-            // and route through `wants_async`.
-            R::CacheWrite { data, .. } => {
-                policy.converts(&CfCommand::new(CommandClass::CacheWrite, data.len().max(DIR_CMD_BYTES)))
+            // Payload-dependent: converted above the policy threshold.
+            R::CacheWrite { data, .. } => converts(CommandClass::CacheWrite, data.len().max(DIR_CMD_BYTES)),
+            R::ListEnqueue { data, .. } | R::ListUpdate { data, .. } => {
+                converts(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES))
             }
-            R::ListEnqueue { data, .. } => {
-                policy.converts(&CfCommand::new(CommandClass::ListWrite, data.len().max(LOCK_CMD_BYTES)))
+            R::LockWriteRecord { resource, payload, .. } => {
+                converts(CommandClass::LockRecord, LOCK_CMD_BYTES + resource.len() + payload.len())
+            }
+            R::LockDeleteRecord { resource, .. } => {
+                converts(CommandClass::LockRecord, LOCK_CMD_BYTES + resource.len())
             }
             R::Probe(cmd) => policy.converts(cmd),
-            // Everything else — including bulk-shaped admin commands like
-            // LockRetainedOf and large ListUpdates — is issued sync.
+            // Everything else is a fixed-size command of at most one page,
+            // which a policy converting only above one page (the default)
+            // runs CPU-synchronously.
             _ => false,
         }
     }

@@ -59,6 +59,11 @@ struct Frame {
     /// validity bit alone cannot distinguish "bit set for this page" from
     /// "bit left over / re-set while the frame still holds old data".
     ready: bool,
+    /// Fills (refreshes and writes) of this tenant in flight. Each one's
+    /// registration sets the validity bit *before* its bytes land, so
+    /// while any is pending a set bit may vouch for bytes older than the
+    /// CF's: the fast path must not serve the frame.
+    fills: u32,
 }
 
 impl Frame {
@@ -69,6 +74,38 @@ impl Frame {
         self.generation += 1;
         self.version = 0;
         self.ready = false;
+        self.fills = 0;
+    }
+}
+
+/// One fill in flight against a frame tenancy (see [`Frame::fills`]).
+/// A fill ends under the latch acquisition that installs its bytes
+/// ([`Fill::end`]); dropping it on any other exit path ends it too.
+struct Fill<'a> {
+    pool: &'a BufferManager,
+    idx: usize,
+    generation: u64,
+}
+
+impl Fill<'_> {
+    fn end_in(&self, inner: &mut PoolInner) {
+        let f = &mut inner.frames[self.idx];
+        // A steal since the fill began reset the count for the new tenant.
+        if f.generation == self.generation {
+            f.fills -= 1;
+        }
+    }
+
+    /// End the fill under an already-held pool latch.
+    fn end(self, inner: &mut PoolInner) {
+        self.end_in(inner);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Fill<'_> {
+    fn drop(&mut self) {
+        self.end_in(&mut self.pool.inner.lock());
     }
 }
 
@@ -144,11 +181,14 @@ impl BufferManager {
             // Fast path: valid local frame. The validity test is a local
             // bit-vector load — never a CF command. `ready` guards the
             // steal window: a set bit over a frame whose fill has not
-            // completed must not serve the prior tenant's bytes.
+            // completed must not serve the prior tenant's bytes. `fills`
+            // guards a sibling's refresh of the same tenant: its
+            // registration re-sets the bit before its newer bytes land.
             {
                 let inner = self.inner.lock();
                 if let Some(&idx) = inner.map.get(&name) {
-                    if inner.frames[idx].ready && cf.conn.is_valid_block(idx as u32, name) {
+                    let f = &inner.frames[idx];
+                    if f.ready && f.fills == 0 && cf.conn.is_valid_block(idx as u32, name) {
                         self.stats.local_hits.incr();
                         cf.conn.subchannel().emit(TraceEvent::BufRead { page, local_hit: true });
                         return Ok(inner.frames[idx].data.clone());
@@ -168,10 +208,14 @@ impl BufferManager {
         Page::decode(&self.get_image(page)?, page)
     }
 
-    fn frame_for(&self, cf: &CacheTarget, name: BlockName) -> (usize, u64) {
+    /// The frame holding `name` (stealing one if none does), with a fill
+    /// registered against its current tenancy.
+    fn frame_for(&self, cf: &CacheTarget, name: BlockName) -> Fill<'_> {
         let mut inner = self.inner.lock();
         if let Some(&idx) = inner.map.get(&name) {
-            return (idx, inner.frames[idx].generation);
+            let f = &mut inner.frames[idx];
+            f.fills += 1;
+            return Fill { pool: self, idx, generation: f.generation };
         }
         // Steal the next frame round-robin.
         let idx = inner.rotor % inner.frames.len();
@@ -181,6 +225,7 @@ impl BufferManager {
             let old = f.name.take();
             f.reset();
             f.name = Some(name);
+            f.fills = 1;
             (old, f.generation)
         };
         if let Some(old) = old {
@@ -197,14 +242,15 @@ impl BufferManager {
             }
         }
         inner.map.insert(name, idx);
-        (idx, generation)
+        Fill { pool: self, idx, generation }
     }
 
     /// Register interest and refill the frame. Returns `None` when a
     /// concurrent peer write invalidated the frame again before we
     /// finished (caller retries).
     fn refresh(&self, cf: &CacheTarget, page: u64, name: BlockName) -> DbResult<Option<Vec<u8>>> {
-        let (idx, generation) = self.frame_for(cf, name);
+        let fill = self.frame_for(cf, name);
+        let (idx, generation) = (fill.idx, fill.generation);
         let reg = cf.conn.register_read(name, idx as u32)?;
         let image = match reg.data {
             Some(d) => {
@@ -228,6 +274,7 @@ impl BufferManager {
         };
         {
             let mut inner = self.inner.lock();
+            fill.end(&mut inner);
             match inner.frames.get_mut(idx) {
                 // Install only into the same tenancy this refresh began
                 // against, and never over a newer version: a slower refresh
@@ -268,7 +315,8 @@ impl BufferManager {
     pub fn put_image(&self, page: u64, image: &[u8]) -> DbResult<()> {
         let name = self.store.block_name(page);
         let cf = self.cf.read();
-        let (idx, generation) = self.frame_for(&cf, name);
+        let fill = self.frame_for(&cf, name);
+        let (idx, generation) = (fill.idx, fill.generation);
         // Register so the CF tracks us as a current holder.
         cf.conn.register_read(name, idx as u32)?;
         // CF write first: the returned directory version orders this image
@@ -276,6 +324,7 @@ impl BufferManager {
         let w = cf.conn.write_invalidate(name, image, WriteKind::ChangedData)?;
         {
             let mut inner = self.inner.lock();
+            fill.end(&mut inner);
             if let Some(f) = inner.frames.get_mut(idx) {
                 if f.generation == generation && f.name == Some(name) && w.version >= f.version {
                     f.data = image.to_vec();
@@ -506,6 +555,29 @@ mod tests {
         assert_eq!(a.get_page(7).unwrap().get(7).unwrap(), b"from-b");
         assert_eq!(a.stats.dasd_reads.get(), before_dasd, "refresh came from the CF global cache");
         assert!(a.stats.cf_refreshes.get() >= 1);
+    }
+
+    #[test]
+    fn sibling_refresh_in_flight_never_serves_stale_bytes() {
+        let r = rig();
+        let a = bm(&r, 0);
+        let b = bm(&r, 1);
+        let mut p = Page::new();
+        p.set(7, b"old");
+        b.put_page(7, &p).unwrap();
+        a.get_page(7).unwrap(); // a's frame holds "old", registered
+        p.set(7, b"new");
+        b.put_page(7, &p).unwrap(); // cross-invalidates a's frame
+
+        // A sibling refresh on a is mid-flight: its registration has set
+        // the validity bit again, but its bytes have not landed.
+        let cf = a.cf.read();
+        let fill = a.frame_for(&cf, a.store.block_name(7));
+        cf.conn.register_read(a.store.block_name(7), fill.idx as u32).unwrap();
+        drop(cf);
+        // A concurrent reader must not trust the re-set bit over "old".
+        assert_eq!(a.get_page(7).unwrap().get(7).unwrap(), b"new");
+        drop(fill);
     }
 
     #[test]

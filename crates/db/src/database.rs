@@ -370,10 +370,11 @@ impl Database {
         unlock_result
     }
 
-    /// Convenience: run `f` in a transaction, retrying on lock timeouts up
-    /// to `retries` times (timeouts abort and re-run — the classic OLTP
-    /// deadlock-breaker loop). Retries back off for a randomized interval
-    /// so two transactions deadlocking in lockstep cannot livelock.
+    /// Convenience: run `f` in a transaction, retrying on lock timeouts and
+    /// conversion-deadlock aborts up to `retries` times (both abort and
+    /// re-run — the classic OLTP deadlock-breaker loop). Retries back off
+    /// for a randomized interval so two transactions deadlocking in
+    /// lockstep cannot livelock.
     pub fn run<R>(
         &self,
         retries: usize,
@@ -384,13 +385,13 @@ impl Database {
             let mut txn = self.begin();
             match f(self, &mut txn).and_then(|r| self.commit(&mut txn).map(|_| r)) {
                 Ok(r) => return Ok(r),
-                Err(DbError::LockTimeout { resource, waited }) => {
+                Err(e @ (DbError::LockTimeout { .. } | DbError::Deadlock { .. })) => {
                     if !txn.complete {
                         let _ = self.abort(&mut txn);
                     }
                     attempts += 1;
                     if attempts as usize > retries {
-                        return Err(DbError::LockTimeout { resource, waited });
+                        return Err(e);
                     }
                     // Exponential randomized backoff, seeded from the
                     // (sysplex-unique) TOD: colliding transactions must

@@ -22,6 +22,14 @@ pub enum DbError {
         /// How long we waited.
         waited: Duration,
     },
+    /// Chosen as the victim of a conversion deadlock: this transaction and
+    /// an older one both hold `resource` Shared and both want it
+    /// Exclusive, so neither can ever be granted. The younger aborts at
+    /// once instead of waiting out the lock timeout.
+    Deadlock {
+        /// The contested resource.
+        resource: Vec<u8>,
+    },
     /// The transaction was already completed (commit/abort called twice).
     TxnComplete,
     /// Page image failed to decode (corruption or torn write).
@@ -39,6 +47,9 @@ impl fmt::Display for DbError {
             DbError::Io(e) => write!(f, "dasd: {e}"),
             DbError::LockTimeout { resource, waited } => {
                 write!(f, "lock timeout after {waited:?} on {}", String::from_utf8_lossy(resource))
+            }
+            DbError::Deadlock { resource } => {
+                write!(f, "conversion deadlock victim on {}", String::from_utf8_lossy(resource))
             }
             DbError::TxnComplete => write!(f, "transaction already complete"),
             DbError::PageCorrupt(p) => write!(f, "page {p} corrupt"),

@@ -21,6 +21,11 @@
 //!    holds *this* resource in a conflicting mode the contention was
 //!    *false* (hash collision) and interest is recorded anyway.
 //! 4. **Busy** — a real resource-level conflict; the caller backs off.
+//! 5. **Deadlock** — a certain conversion deadlock: the requester and an
+//!    older transaction both hold the resource Shared and both want it
+//!    Exclusive. Transaction ids are Sysplex Timer TODs, unique and
+//!    ordered across the sysplex (§3.1), so the younger is the victim and
+//!    aborts at once; the older never waits on it past its next retry.
 //!
 //! Exclusive locks taken for updates also write CF **record data** so that,
 //! after a system failure, survivors can read exactly which resources the
@@ -50,6 +55,10 @@ pub enum LockOutcome {
     Granted,
     /// A real conflict exists; retry later or give up.
     Busy,
+    /// A real conflict that can never resolve: this transaction is the
+    /// younger of two converting Shared to Exclusive on the resource.
+    /// Abort and retry.
+    Deadlock,
 }
 
 /// Counters published by an IRLM instance.
@@ -69,6 +78,8 @@ pub struct IrlmStats {
     pub real_conflicts: Counter,
     /// Conflicts detected locally (two transactions, same system).
     pub local_conflicts: Counter,
+    /// Requests refused as the younger side of a conversion deadlock.
+    pub conversion_deadlocks: Counter,
     /// Negotiation queries answered for peers.
     pub queries_served: Counter,
     /// Re-granted from cached sole CF interest — no CF command at all.
@@ -83,6 +94,8 @@ pub struct IrlmStats {
 struct Holder {
     mode: LockMode,
     persistent: bool,
+    /// Holds Shared and has asked for Exclusive (a lock conversion).
+    converting: bool,
 }
 
 #[derive(Debug, Default)]
@@ -107,6 +120,12 @@ impl ResourceHolders {
             LockMode::Exclusive => true,
             LockMode::Shared => self.holders.values().any(|h| h.mode == LockMode::Exclusive),
         }
+    }
+
+    /// The oldest transaction converting Shared to Exclusive here, or
+    /// `u64::MAX` when none is. Ids are TODs: smaller is older.
+    fn oldest_converter(&self) -> u64 {
+        self.holders.iter().filter(|(_, h)| h.converting).map(|(&t, _)| t).min().unwrap_or(u64::MAX)
     }
 
     fn strongest(&self) -> Option<LockMode> {
@@ -199,11 +218,22 @@ fn encode_query(req_id: u64, mode: LockMode, resource: &[u8]) -> Vec<u8> {
     m
 }
 
-fn encode_reply(req_id: u64, conflict: bool) -> Vec<u8> {
-    let mut m = Vec::with_capacity(10);
+/// A peer's verdict on a negotiation query.
+#[derive(Debug, Clone, Copy)]
+struct Reply {
+    conflict: bool,
+    /// The peer's oldest transaction converting the resource to Exclusive
+    /// (`u64::MAX`: none) — the one extra field conversion-deadlock
+    /// detection needs.
+    oldest_converter: u64,
+}
+
+fn encode_reply(req_id: u64, reply: Reply) -> Vec<u8> {
+    let mut m = Vec::with_capacity(18);
     m.push(MSG_REPLY);
     m.extend_from_slice(&req_id.to_be_bytes());
-    m.push(conflict as u8);
+    m.push(reply.conflict as u8);
+    m.extend_from_slice(&reply.oldest_converter.to_be_bytes());
     m
 }
 
@@ -332,7 +362,7 @@ pub struct Irlm {
     cf: RwLock<CfTarget>,
     member: Arc<XcfMember>,
     local: Mutex<LocalState>,
-    pending: Arc<Mutex<HashMap<u64, Sender<bool>>>>,
+    pending: Arc<Mutex<HashMap<u64, Sender<Reply>>>>,
     next_req: AtomicU64,
     stop: Arc<AtomicBool>,
     service: Mutex<Option<JoinHandle<()>>>,
@@ -432,7 +462,7 @@ impl Irlm {
                 // race the peer's negotiated write. `try_read` keeps the
                 // service thread from blocking against a rebuild writer;
                 // a rebuild rebuilds the cache away anyway.
-                let conflict = {
+                let reply = {
                     let cf = self.cf.try_read();
                     let mut local = self.local.lock();
                     local.recall_seq += 1;
@@ -487,21 +517,23 @@ impl Irlm {
                             !local.critical.is_empty()
                         }
                     };
-                    critical_here
-                        || local
-                            .resources
-                            .get(resource)
-                            .map(|r| r.conflicts_with_peer(mode))
-                            .unwrap_or(false)
+                    let held = local.resources.get(resource);
+                    Reply {
+                        conflict: critical_here || held.is_some_and(|r| r.conflicts_with_peer(mode)),
+                        oldest_converter: held.map_or(u64::MAX, ResourceHolders::oldest_converter),
+                    }
                 };
                 self.stats.queries_served.incr();
-                let _ = self.member.send_to(from, &encode_reply(req_id, conflict));
+                let _ = self.member.send_to(from, &encode_reply(req_id, reply));
             }
-            Some(&MSG_REPLY) if payload.len() >= 10 => {
+            Some(&MSG_REPLY) if payload.len() >= 18 => {
                 let req_id = u64::from_be_bytes(payload[1..9].try_into().unwrap());
-                let conflict = payload[9] != 0;
+                let reply = Reply {
+                    conflict: payload[9] != 0,
+                    oldest_converter: u64::from_be_bytes(payload[10..18].try_into().unwrap()),
+                };
                 if let Some(tx) = self.pending.lock().remove(&req_id) {
-                    let _ = tx.send(conflict);
+                    let _ = tx.send(reply);
                 }
             }
             _ => {}
@@ -509,7 +541,11 @@ impl Irlm {
     }
 
     /// Ask each holder whether it really conflicts on `resource`. Returns
-    /// `Ok(true)` when the contention was false (nobody conflicts).
+    /// `Ok(None)` when the contention was false (nobody conflicts), else
+    /// the outcome to report: [`LockOutcome::Deadlock`] when `converter`
+    /// (the requester, if it is converting Shared to Exclusive) is younger
+    /// than a converter on the conflicting peer, [`LockOutcome::Busy`]
+    /// otherwise.
     ///
     /// `ignore` names a failed connector whose retained interest is being
     /// recovered *by the caller* — acting on the dead system's behalf, the
@@ -521,7 +557,8 @@ impl Irlm {
         resource: &[u8],
         mode: LockMode,
         ignore: Option<ConnId>,
-    ) -> DbResult<bool> {
+        converter: Option<u64>,
+    ) -> DbResult<Option<LockOutcome>> {
         for holder in conns_in_mask(holders & !cf.conn.conn_id().mask()) {
             if Some(holder) == ignore {
                 continue;
@@ -529,7 +566,7 @@ impl Irlm {
             if cf.conn.is_failed_persistent(holder)? {
                 // Retained interest of a dead system conflicts until peer
                 // recovery completes.
-                return Ok(false);
+                return Ok(Some(LockOutcome::Busy));
             }
             let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = bounded(1);
@@ -541,7 +578,7 @@ impl Irlm {
                     // interest is going away; treat as conflicting for now
                     // (the caller retries, by which time cleanup is done).
                     self.pending.lock().remove(&req_id);
-                    return Ok(false);
+                    return Ok(Some(LockOutcome::Busy));
                 }
                 Err(_) => {
                     self.pending.lock().remove(&req_id);
@@ -549,15 +586,21 @@ impl Irlm {
                 }
             }
             match rx.recv_timeout(self.negotiation_timeout) {
-                Ok(true) => return Ok(false),
-                Ok(false) => {}
+                Ok(reply) if reply.conflict => {
+                    if converter.is_some_and(|me| reply.oldest_converter < me) {
+                        self.stats.conversion_deadlocks.incr();
+                        return Ok(Some(LockOutcome::Deadlock));
+                    }
+                    return Ok(Some(LockOutcome::Busy));
+                }
+                Ok(_) => {}
                 Err(_) => {
                     self.pending.lock().remove(&req_id);
-                    return Ok(false); // unresponsive peer: assume conflict, retry later
+                    return Ok(Some(LockOutcome::Busy)); // unresponsive peer: assume conflict, retry later
                 }
             }
         }
-        Ok(true)
+        Ok(None)
     }
 
     /// Request `mode` on `resource` for transaction `txn` without waiting.
@@ -604,11 +647,25 @@ impl Irlm {
         // foreign interest exists and every foreign acquisition since
         // would have recalled the flag before completing.
         let recall_snapshot;
+        // Set when this request converts a Shared hold to Exclusive: the
+        // holder is flagged so peers' queries (and local siblings) can
+        // tell a conversion deadlock from an ordinary conflict.
+        let mut converter = None;
         {
             let mut local = self.local.lock();
-            if let Some(rh) = local.resources.get(resource) {
+            if let Some(rh) = local.resources.get_mut(resource) {
+                if let Some(h) = rh.holders.get_mut(&txn) {
+                    if mode == LockMode::Exclusive && h.mode == LockMode::Shared {
+                        h.converting = true;
+                        converter = Some(txn);
+                    }
+                }
                 if !rh.compatible_for(txn, mode) {
                     self.stats.local_conflicts.incr();
+                    if converter.is_some() && rh.oldest_converter() < txn {
+                        self.stats.conversion_deadlocks.incr();
+                        return Ok(LockOutcome::Deadlock);
+                    }
                     return Ok(LockOutcome::Busy);
                 }
                 let own_exclusive =
@@ -688,9 +745,9 @@ impl Irlm {
                 LockResponse::Contention { holders, generation, .. } => {
                     critical.exit();
                     self.stats.contentions.incr();
-                    if !self.negotiate(&cf, holders, resource, mode, ignore)? {
+                    if let Some(outcome) = self.negotiate(&cf, holders, resource, mode, ignore, converter)? {
                         self.stats.real_conflicts.incr();
-                        return Ok(LockOutcome::Busy);
+                        return Ok(outcome);
                     }
                     self.stats.false_contentions.incr();
                     cf.conn.subchannel().emit(sysplex_core::trace::TraceEvent::LockFalseContend {
@@ -773,10 +830,12 @@ impl Irlm {
     ) {
         let is_new_resource = !local.resources.contains_key(resource);
         let rh = local.resources.entry(resource.to_vec()).or_default();
-        let h = rh.holders.entry(txn).or_insert(Holder { mode, persistent });
-        // Strengthen, never weaken.
+        let h = rh.holders.entry(txn).or_insert(Holder { mode, persistent, converting: false });
+        // Strengthen, never weaken; an Exclusive grant completes any
+        // conversion.
         if mode == LockMode::Exclusive {
             h.mode = LockMode::Exclusive;
+            h.converting = false;
         }
         h.persistent |= persistent;
         let state = &mut *local;
@@ -810,6 +869,7 @@ impl Irlm {
         loop {
             match self.lock(txn, resource, mode, persistent)? {
                 LockOutcome::Granted => return Ok(()),
+                LockOutcome::Deadlock => return Err(DbError::Deadlock { resource: resource.to_vec() }),
                 LockOutcome::Busy => {
                     let waited = clock.elapsed().saturating_sub(start);
                     if waited >= timeout {
@@ -1330,6 +1390,40 @@ mod tests {
         b.unlock(2, b"ROW.9").unwrap();
         assert_eq!(a.lock(1, b"ROW.9", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
         assert_eq!(a.local_mode(b"ROW.9"), Some(LockMode::Exclusive));
+    }
+
+    #[test]
+    fn conversion_deadlock_aborts_the_younger_converter() {
+        let r = rig(2, 1024);
+        let (a, b) = (&r.irlms[0], &r.irlms[1]);
+        // Across systems: txn 1 (older) on a, txn 2 on b, both Shared.
+        a.lock(1, b"ROW.9", LockMode::Shared, false).unwrap();
+        b.lock(2, b"ROW.9", LockMode::Shared, false).unwrap();
+        // The older converter waits on the younger's Shared hold...
+        assert_eq!(a.lock(1, b"ROW.9", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
+        // ...and the younger, converting too, is the victim at once.
+        assert_eq!(b.lock(2, b"ROW.9", LockMode::Exclusive, false).unwrap(), LockOutcome::Deadlock);
+        let err = b.lock_wait(2, b"ROW.9", LockMode::Exclusive, false, Duration::from_secs(5)).unwrap_err();
+        assert!(matches!(err, DbError::Deadlock { .. }), "{err:?}");
+        assert_eq!(b.stats.conversion_deadlocks.get(), 2);
+        assert_eq!(a.stats.conversion_deadlocks.get(), 0);
+        b.unlock_all(2).unwrap();
+        assert_eq!(a.lock(1, b"ROW.9", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+        a.unlock_all(1).unwrap();
+
+        // Same system: two sibling transactions on a.
+        a.lock(3, b"ROW.8", LockMode::Shared, false).unwrap();
+        a.lock(4, b"ROW.8", LockMode::Shared, false).unwrap();
+        assert_eq!(a.lock(3, b"ROW.8", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
+        assert_eq!(a.lock(4, b"ROW.8", LockMode::Exclusive, false).unwrap(), LockOutcome::Deadlock);
+        a.unlock_all(4).unwrap();
+        assert_eq!(a.lock(3, b"ROW.8", LockMode::Exclusive, false).unwrap(), LockOutcome::Granted);
+
+        // A plain Shared holder that is not converting only makes the
+        // converter wait.
+        b.lock(5, b"ROW.7", LockMode::Shared, false).unwrap();
+        a.lock(6, b"ROW.7", LockMode::Shared, false).unwrap();
+        assert_eq!(a.lock(6, b"ROW.7", LockMode::Exclusive, false).unwrap(), LockOutcome::Busy);
     }
 
     #[test]

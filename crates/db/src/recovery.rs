@@ -148,7 +148,9 @@ fn lock_recover_wait(
     loop {
         match survivor.irlm().lock_recover(txn, resource, LockMode::Exclusive, recovering)? {
             LockOutcome::Granted => return Ok(()),
-            LockOutcome::Busy => {
+            // The coordinator acts for a dead system and never aborts: a
+            // conversion-deadlock verdict just means wait like any conflict.
+            LockOutcome::Busy | LockOutcome::Deadlock => {
                 let waited = clock.elapsed().saturating_sub(start);
                 if waited >= timeout {
                     return Err(DbError::LockTimeout { resource: resource.to_vec(), waited });

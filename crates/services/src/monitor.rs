@@ -1338,10 +1338,10 @@ mod tests {
 
     #[test]
     fn dropping_sysplex_with_reports_in_flight_does_not_panic() {
-        // Reports fire as fast as the thread can run while the facility's
-        // async executor is still live, then everything is torn down with
-        // the ticker mid-loop: Monitor::drop must join cleanly and the CF
-        // executor shutdown must not deadlock against it.
+        // Reports fire as fast as the thread can run while the facility
+        // is still live, then everything is torn down with the ticker
+        // mid-loop: Monitor::drop must join cleanly and dropping the
+        // sysplex afterwards must not deadlock against it.
         for _ in 0..10 {
             let (plex, cf) = plex_with_traffic();
             let monitor = Monitor::for_sysplex(&plex);
@@ -1353,7 +1353,7 @@ mod tests {
                 lock.release_lock(entry).unwrap();
             }
             drop(monitor); // Drop path joins the ticker (no explicit stop).
-            drop(plex); // CfExecutor shutdown after the monitor is gone.
+            drop(plex); // Facility teardown after the monitor is gone.
         }
     }
 }

@@ -192,7 +192,7 @@ mod tests {
         });
         r.execute_local("DEPO").unwrap();
         assert_eq!(r.stats.completed.get(), 1);
-        assert_eq!(r.stats.latency.count(), 1);
+        assert_eq!(r.stats.latency.samples(), 1);
         assert!(r.stats.latency.max() > Duration::ZERO);
         assert!(r.wlm.performance_index("OLTP").is_some());
         let v = r.database().run(0, |db, txn| db.read(txn, 1)).unwrap();

@@ -18,7 +18,7 @@ mod tests {
         for us in [10u64, 20, 30, 40, 1000] {
             h.record(Duration::from_micros(us));
         }
-        assert_eq!(h.count(), 5);
+        assert_eq!(h.samples(), 5);
         assert_eq!(h.mean(), Duration::from_micros(220));
         assert_eq!(h.max(), Duration::from_micros(1000));
         let s = h.summary(Duration::from_secs(1));
@@ -51,7 +51,7 @@ mod tests {
         let h = Histogram::new();
         h.record(Duration::from_millis(5));
         h.reset();
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.samples(), 0);
         assert_eq!(h.max(), Duration::ZERO);
     }
 
@@ -84,6 +84,6 @@ mod tests {
         for hd in handles {
             hd.join().unwrap();
         }
-        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.samples(), 40_000);
     }
 }

@@ -22,12 +22,9 @@ fn main() {
         .unwrap_or_else(|| vec![1, 2, 4, 8]);
 
     let report = hotpath::run(ops, &threads);
+    // The table ends with the report's warnings, so the zero-async-
+    // conversion condition shows in the job log, not just in the JSON.
     print!("{}", report.render_table());
-    // Make the zero-async-conversion condition impossible to miss in the
-    // job log, not just a field in the JSON.
-    for w in report.warnings() {
-        eprintln!("{w}");
-    }
 
     let json = report.to_json();
     std::fs::write("BENCH_cf_hotpath.json", &json).expect("write BENCH_cf_hotpath.json");

@@ -38,8 +38,8 @@ fn mixed_sync_async_traffic_reconciles_across_systems() {
                 let cache = cf.connect_cache("GBP0", 64).unwrap();
                 let list = cf.connect_list("WORKQ", 1).unwrap();
                 let blk = parallel_sysplex::cf::cache::BlockName::from_parts(sys as u32, 1);
-                // An oversized payload: the conversion heuristic sends it
-                // through the asynchronous CF processor pool.
+                // An oversized payload: the conversion heuristic counts it
+                // async-converted and charges the task-switch overhead.
                 let big = vec![0u8; 16 * 1024];
                 for i in 0..OPS {
                     let entry = (sys * OPS + i) % 256;

@@ -1,13 +1,15 @@
 //! Transport-layer regression tests across both backends.
 //!
 //! The unified broken-link contract: a command submitted after the CF
-//! executor shut down (in-process backend) and a command submitted on a
+//! facility shut down (in-process backend) and a command submitted on a
 //! TCP link whose peer vanished must surface the **same typed error** —
 //! `CfError::LinkTimeout` — so exploiters run one recovery path for
 //! "facility gone" regardless of how the commands travelled. Garbled
 //! frames, by contrast, are interface control checks, matching the
 //! injected-IFCC machinery.
 
+use parallel_sysplex::cf::cache::CacheParams;
+use parallel_sysplex::cf::connection::CommandClass;
 use parallel_sysplex::cf::error::CfError;
 use parallel_sysplex::cf::facility::{CfConfig, CouplingFacility};
 use parallel_sysplex::cf::lock::{LockMode, LockParams};
@@ -69,7 +71,9 @@ fn shutdown_and_dead_link_surface_the_same_typed_error() {
 #[test]
 fn post_shutdown_submits_fail_and_are_accounted() {
     let cf = cf_with_lock();
+    cf.allocate_cache_structure("GBP0", CacheParams::store_in(16)).unwrap();
     let lock = cf.connect_lock("IRLM1").unwrap();
+    let cache = cf.connect_cache("GBP0", 8).unwrap();
     let slot = lock.hash_resource(b"ACCT.2");
     assert!(lock.request_lock(slot, LockMode::Shared).unwrap().is_granted());
     cf.shutdown();
@@ -78,6 +82,11 @@ fn post_shutdown_submits_fail_and_are_accounted() {
     assert!(matches!(lock.release_lock(slot), Err(CfError::LinkTimeout(_))));
     let faulted = cf.command_stats().faulted();
     assert!(faulted >= 2, "post-shutdown submits must count as faulted, got {faulted}");
+    // A command converted to asynchronous execution fails the same way.
+    assert!(matches!(cache.castout_candidates(8), Err(CfError::LinkTimeout("cache-castout"))));
+    let castout = cf.command_stats().class(CommandClass::CacheCastout);
+    assert_eq!((castout.async_converted.get(), castout.faulted.get()), (1, 1));
+    assert_eq!(cf.command_stats().faulted(), faulted + 1);
 }
 
 /// A garbled frame is an interface control check — distinct from the
